@@ -261,6 +261,8 @@ func main() {
 		ts := peer.TransportStats()
 		fmt.Printf("pastnode: transport: dials %d (failed %d), breaker opens %d, sends suppressed %d\n",
 			ts.Dials, ts.DialFailures, ts.BreakerOpens, ts.Suppressed)
+		fmt.Printf("pastnode: transport drops: queue full %d, oversized %d, write failures %d, decode failures %d\n",
+			ts.QueueFull, ts.Oversized, ts.WriteFailures, ts.DecodeFailures)
 		for _, st := range run.Statuses() {
 			fmt.Printf("pastnode: task %s\n", st)
 		}

@@ -36,7 +36,7 @@ const (
 	// routing chose, inflating routes until a hop budget trips.
 	Misrouter
 	// Forger returns store receipts whose signatures do not verify;
-	// the client's batch verification identifies and drops them.
+	// the client checks each receipt on arrival and drops them.
 	Forger
 	// FreeRider claims replicas it never stores, with properly signed
 	// receipts; only a content audit exposes the missing data.

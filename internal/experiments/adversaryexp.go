@@ -3,8 +3,8 @@ package experiments
 // Adversarial-resilience experiments E18-E21: the paper's section 2.2
 // fault model ("nodes may be faulty or malicious ... accept traffic but
 // do not forward it correctly") exercised against the client-side
-// defenses — retrying lookups with route diversity, hop budgets, batch
-// receipt verification and storage audits — plus two correlated-stress
+// defenses — retrying lookups with route diversity, hop budgets,
+// per-receipt signature checks and storage audits — plus two correlated-stress
 // scenarios: a regional (transit-domain) outage and a flash crowd.
 //
 // All four are phase experiments on the sharded engine. Adversarial
@@ -170,7 +170,7 @@ func E18AdversarialLookups(scale Scale, seed int64) Result {
 
 // E19ReceiptContainment measures how the storage defenses of section 2.1
 // contain cheating storage nodes. Forgers return receipts whose
-// signatures fail the client's batch verification, so the client simply
+// signatures fail the client's check on arrival, so the client simply
 // never counts them and re-targets the insert (file diversion).
 // Free-riders sign honestly but discard the data, which only a content
 // audit — a nonce challenge against the stored bytes — exposes.
@@ -269,7 +269,7 @@ func E19ReceiptContainment(scale Scale, seed int64) Result {
 		PaperClaim: "store receipts prevent a malicious node from claiming storage it does not provide; smartcard signatures make forgeries detectable",
 		Table:      tbl,
 		Notes: []string{
-			"forgers are contained at insert time: batch verification drops their receipts, so the client diverts the file elsewhere",
+			"forgers are contained at insert time: the client checks each receipt's signature on arrival and drops theirs, so it diverts the file elsewhere",
 			"free-riders sign honestly and are only exposed by the nonce content audit; reads survive on the k-1 honest replicas",
 		},
 	}

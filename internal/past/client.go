@@ -96,11 +96,6 @@ type pendingOp struct {
 	receipts []wire.StoreReceipt
 	seen     map[id.Node]bool
 	insertCB func(InsertResult)
-	// verif collects the insert's signature checks — slot 0 is the file
-	// certificate, slot i+1 is receipts[i] — and resolves them in one
-	// batch when the k-th receipt arrives (or on timeout/failure). See
-	// seccrypt.Deferred for the batch-verification semantics.
-	verif *seccrypt.Deferred
 	// lookup
 	lookupCB func(LookupResult)
 	// reclaim
@@ -113,51 +108,6 @@ type pendingOp struct {
 	// audit
 	auditWant [32]byte
 	auditCB   func(bool)
-}
-
-// flushVerif resolves the op's deferred signature checks (certificate +
-// collected receipts) in one batch and drops receipts whose signatures
-// failed, so forged receipts never count toward k. It returns the
-// number of receipts that survived and whether the certificate's own
-// signature (slot 0) held — a failed certificate must fail the whole
-// attempt, never complete it. Callers hold the node lock.
-func (op *pendingOp) flushVerif() (valid int, certOK bool) {
-	if op.verif == nil {
-		return len(op.receipts), true
-	}
-	if op.verif.Flush() {
-		return len(op.receipts), true // certificate and every receipt check out
-	}
-	// At least one check failed; the flush identified which. Drop the
-	// forged receipts (freeing their seen-slots so the genuine node can
-	// still deliver a valid receipt) and rebuild the queue so slots stay
-	// aligned with op.receipts — the re-deferred checks all resolve from
-	// the memo, so the rebuild costs no cryptography.
-	certOK = op.verif.Ok(0)
-	kept := op.receipts[:0]
-	rebuilt := seccrypt.NewDeferred()
-	rebuilt.DeferFileCertificate(&op.cert)
-	for j := range op.receipts {
-		r := &op.receipts[j]
-		if op.verif.Ok(j + 1) {
-			kept = append(kept, *r)
-			rebuilt.DeferStoreReceipt(r)
-		} else {
-			delete(op.seen, r.StoredBy.ID)
-		}
-	}
-	op.receipts = kept
-	op.verif.Release()
-	op.verif = rebuilt
-	return len(op.receipts), certOK
-}
-
-// releaseVerif returns the deferred queue to its pool.
-func (op *pendingOp) releaseVerif() {
-	if op.verif != nil {
-		op.verif.Release()
-		op.verif = nil
-	}
 }
 
 // stopTimer cancels and recycles the op's timeout. Every finished op
@@ -268,14 +218,7 @@ func (n *Node) startInsertAttempt(card *seccrypt.Smartcard, name string, data []
 		cert:     cert,
 		seen:     make(map[id.Node]bool),
 		insertCB: cb,
-		verif:    seccrypt.NewDeferred(),
 	}
-	// The certificate joins the deferred batch up front (slot 0): the
-	// flush confirms the certificate the result reports alongside the
-	// receipts, and feeds the memo other nodes consult. Usually it is
-	// already a memo hit by flush time (the root verified it), so it
-	// adds nothing to the batch equation.
-	op.verif.DeferFileCertificate(&op.cert)
 	n.armOp(reqID, op, func() {
 		n.finishInsert(reqID, ErrTimeout)
 	})
@@ -319,46 +262,40 @@ func (n *Node) scheduleInsertResend(reqID uint64, resend int) {
 	})
 }
 
-// clientCollectReceipt accumulates store receipts toward k. Only the
-// cheap structural checks (signer/node binding, duplicates) run per
-// receipt; the ed25519 signature joins the op's deferred batch, which
-// is flushed — certificate plus all k receipt signatures in one
-// cofactored batch check — once the k-th receipt arrives. A receipt
-// whose signature fails the flush is dropped and the insert keeps
-// waiting, so forged receipts still never count toward k.
+// clientCollectReceipt accumulates store receipts toward k. Each
+// receipt is checked as it arrives: its signer must be the storing node
+// and its signature must verify. A forged receipt is dropped and counted
+// at once and never takes its node's slot, so forged receipts never
+// count toward k. With the k-th receipt in hand, the client checks its
+// own certificate's signature once (usually a memo hit: the root already
+// verified it) before reporting success.
 func (n *Node) clientCollectReceipt(m wire.StoreReceipt) {
 	n.mu.Lock()
 	op := n.pending[m.ReqID]
-	if op == nil || op.kind != opInsert {
+	if op == nil || op.kind != opInsert || op.seen[m.StoredBy.ID] || seccrypt.VerifyStoreReceiptBinding(&m) != nil {
 		n.mu.Unlock()
 		return
 	}
-	if seccrypt.VerifyStoreReceiptBinding(&m) != nil || op.seen[m.StoredBy.ID] {
+	if seccrypt.VerifyStoreReceiptSig(&m) != nil {
+		n.stats.ForgedReceiptsDropped++
 		n.mu.Unlock()
 		return
 	}
 	op.seen[m.StoredBy.ID] = true
 	op.receipts = append(op.receipts, m)
-	op.verif.DeferStoreReceipt(&op.receipts[len(op.receipts)-1])
-	done, certBad := false, false
-	if len(op.receipts) >= op.k {
-		before := len(op.receipts)
-		valid, certOK := op.flushVerif()
-		n.stats.ForgedReceiptsDropped += before - valid
-		done, certBad = certOK && valid >= op.k, !certOK
-	}
+	done := len(op.receipts) >= op.k
 	n.mu.Unlock()
-	if certBad {
-		// The flush says our own certificate's signature is invalid (a
-		// defective card): fail the attempt like a root-side rejection —
-		// refund, clean up partial replicas, maybe retry with a fresh
-		// certificate.
+	if !done {
+		return
+	}
+	if seccrypt.VerifyFileCertificateSig(&op.cert) != nil {
+		// Our own certificate's signature is invalid (a defective card):
+		// fail the attempt like a root-side rejection — refund, clean up
+		// partial replicas, maybe retry with a fresh certificate.
 		n.finishInsert(m.ReqID, fmt.Errorf("%w: file certificate failed verification", ErrRejected))
 		return
 	}
-	if done {
-		n.finishInsert(m.ReqID, nil)
-	}
+	n.finishInsert(m.ReqID, nil)
 }
 
 // handleInsertReject fails the attempt early (triggering file diversion).
@@ -383,21 +320,6 @@ func (n *Node) finishInsert(reqID uint64, cause error) {
 		return
 	}
 	delete(n.pending, reqID)
-	// Resolve any still-deferred signature checks (timeout and reject
-	// paths can arrive with the batch unflushed) so the result only ever
-	// reports verified receipts — and a certificate that failed its own
-	// signature check fails the attempt outright.
-	before := len(op.receipts)
-	valid, certOK := op.flushVerif()
-	n.stats.ForgedReceiptsDropped += before - valid
-	if cause == nil {
-		if !certOK {
-			cause = fmt.Errorf("%w: file certificate failed verification", ErrRejected)
-		} else if valid < op.k {
-			cause = ErrTimeout
-		}
-	}
-	op.releaseVerif()
 	n.mu.Unlock()
 	op.stopTimer()
 

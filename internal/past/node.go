@@ -64,9 +64,10 @@ type Stats struct {
 	// Client-side resilience counters. DropsSuspected counts lookup
 	// attempts that timed out (the signature of a dropper on the path);
 	// MisrouteDetections counts hop-budget aborts received;
-	// ForgedReceiptsDropped counts store receipts discarded because their
-	// signature failed batch verification. RouteAborts counts lookups
-	// this node refused to forward past the hop budget (server side).
+	// ForgedReceiptsDropped counts store receipts discarded on arrival
+	// because their signature failed verification. RouteAborts counts
+	// lookups this node refused to forward past the hop budget (server
+	// side).
 	LookupRetries         int
 	DropsSuspected        int
 	MisrouteDetections    int
@@ -174,7 +175,7 @@ func (n *Node) Stats() Stats {
 // experiments: a node that claims replicas it does not hold. The
 // free-rider signs its receipts honestly — only a content audit exposes
 // it — while the forger's receipts carry an invalid signature, which the
-// client's batch verification identifies and drops.
+// client detects on arrival and drops.
 type Mischief struct {
 	ForgeReceipts bool
 	FreeRide      bool
@@ -497,7 +498,7 @@ func (n *Node) handleReplicaStore(m wire.ReplicaStore) {
 		// A cheating node claims the store without holding the data. The
 		// free-rider's receipt is properly signed (only an audit exposes
 		// the missing content); the forger's signature is corrupted, so
-		// the client's batch verification drops it.
+		// the client drops the receipt on arrival.
 		rcpt := wire.StoreReceipt{
 			FileID:     m.Cert.FileID,
 			StoredBy:   n.pn.Ref(),

@@ -71,29 +71,10 @@ type verifyMemo struct {
 var memo verifyMemo
 
 // MemoStats returns the cumulative hit and miss counts of the
-// verification memo (for benchmarks and tests).
+// verification memo (for benchmarks and tests). Hits count probes served
+// from the cache; misses count fresh ed25519 verifications.
 func MemoStats() (hits, misses uint64) {
 	return memo.hits.Load(), memo.misses.Load()
-}
-
-// memoLookup probes the memo for key, owning the stripe selection and
-// the hit accounting. Every memo consumer (memoVerify and the deferred
-// queue) goes through this pair, so the striping scheme and the stats
-// live in one place: hits count served probes, misses count fresh
-// cryptographic resolutions (memoStore is called exactly once per
-// freshly verified signature, including each member of a batch).
-func memoLookup(key memoKey) (ok, found bool) {
-	ok, found = memo.stripes[key[0]&(memoStripeCount-1)].lookup(key)
-	if found {
-		memo.hits.Add(1)
-	}
-	return ok, found
-}
-
-// memoStore records a freshly resolved verification verdict under key.
-func memoStore(key memoKey, ok bool) {
-	memo.misses.Add(1)
-	memo.stripes[key[0]&(memoStripeCount-1)].store(key, ok)
 }
 
 // lookup returns the cached outcome for key, promoting it to
@@ -202,12 +183,13 @@ func verifyBody(pub ed25519.PublicKey, sig []byte, build func(buf []byte) []byte
 }
 
 // memoVerify reports whether sig is a valid ed25519 signature of body
-// under pub, consulting the memo first. Inputs of non-canonical sizes
-// bypass the memo and fall through to ed25519.Verify so its semantics
-// (including the panic on a wrong-sized public key) are preserved.
+// under pub, consulting the memo first and calling ed25519.Verify on a
+// miss. Inputs of non-canonical sizes are rejected without touching the
+// memo; ed25519.Verify would return false for such a signature and panic
+// on such a key, and both arrive here from untrusted peers.
 func memoVerify(pub ed25519.PublicKey, body, sig []byte) bool {
 	if len(pub) != ed25519.PublicKeySize || len(sig) != ed25519.SignatureSize {
-		return ed25519.Verify(pub, body, sig)
+		return false
 	}
 	kb := getBody()
 	mat := append((*kb)[:0], pub...)
@@ -217,13 +199,13 @@ func memoVerify(pub ed25519.PublicKey, body, sig []byte) bool {
 	*kb = mat
 	putBody(kb)
 
-	if ok, found := memoLookup(key); found {
+	stripe := &memo.stripes[key[0]&(memoStripeCount-1)]
+	if ok, found := stripe.lookup(key); found {
+		memo.hits.Add(1)
 		return ok
 	}
-	// verifySingle (batch.go) is bit-compatible with ed25519.Verify for
-	// the canonical sizes guaranteed above, and reuses the per-key
-	// precomputation cache. memoStore accounts the miss.
-	ok := verifySingle(pub, body, sig)
-	memoStore(key, ok)
+	ok := ed25519.Verify(pub, body, sig)
+	memo.misses.Add(1)
+	stripe.store(key, ok)
 	return ok
 }

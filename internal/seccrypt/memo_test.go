@@ -3,6 +3,7 @@ package seccrypt
 import (
 	"crypto/ed25519"
 	"errors"
+	"math/rand"
 	"testing"
 
 	"past/internal/id"
@@ -95,8 +96,14 @@ func TestMemoNegativeCached(t *testing.T) {
 	bad.Sig = append([]byte(nil), cert.Sig...)
 	bad.Sig[10] ^= 0x40
 	for i := 0; i < 3; i++ {
+		h0, m0 := MemoStats()
 		if err := VerifyFileCertificate(broker.PublicKey(), &bad, 100); !errors.Is(err, ErrBadSignature) {
 			t.Fatalf("pass %d: want ErrBadSignature, got %v", i, err)
+		}
+		// After the first pass both the card certification and the
+		// rejected owner signature are served from the memo.
+		if h1, m1 := MemoStats(); i > 0 && (h1 != h0+2 || m1 != m0) {
+			t.Fatalf("pass %d: memo hits %d->%d misses %d->%d, want two hits and no miss", i, h0, h1, m0, m1)
 		}
 	}
 }
@@ -169,13 +176,86 @@ func TestStoreReceiptMemo(t *testing.T) {
 	}
 	card.SignStoreReceipt(&rcpt)
 	for i := 0; i < 2; i++ {
+		h0, m0 := MemoStats()
 		if err := VerifyStoreReceipt(&rcpt); err != nil {
 			t.Fatalf("pass %d: %v", i, err)
+		}
+		if h1, m1 := MemoStats(); i > 0 && (h1 != h0+1 || m1 != m0) {
+			t.Fatalf("pass %d: memo hits %d->%d misses %d->%d, want one hit and no miss", i, h0, h1, m0, m1)
 		}
 	}
 	bad := rcpt
 	bad.Size++
 	if err := VerifyStoreReceipt(&bad); !errors.Is(err, ErrBadSignature) {
 		t.Fatalf("tampered receipt: want ErrBadSignature, got %v", err)
+	}
+}
+
+// TestVerifySingleMatchesStdlib property-tests the memo-backed verifier
+// against crypto/ed25519.Verify over valid, corrupted and non-canonical
+// inputs. Every case is checked twice — a memo miss, then a memo hit —
+// and both verdicts must equal the stdlib's.
+func TestVerifySingleMatchesStdlib(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 200; trial++ {
+		pub, priv, err := ed25519.GenerateKey(rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg := make([]byte, 1+rng.Intn(300))
+		rng.Read(msg)
+		sig := ed25519.Sign(priv, msg)
+		mutate := func(b []byte) []byte {
+			out := append([]byte(nil), b...)
+			out[rng.Intn(len(out))] ^= 1 << uint(rng.Intn(8))
+			return out
+		}
+		cases := []struct {
+			name          string
+			pub, msg, sig []byte
+		}{
+			{"valid", pub, msg, sig},
+			{"bad-sig", pub, msg, mutate(sig)},
+			{"bad-msg", pub, mutate(msg), sig},
+			{"bad-pub", mutate(pub), msg, sig},
+			{"high-s", pub, msg, func() []byte {
+				out := append([]byte(nil), sig...)
+				out[63] |= 0xe0 // push s out of canonical range
+				return out
+			}()},
+		}
+		for _, c := range cases {
+			want := ed25519.Verify(c.pub, c.msg, c.sig)
+			for pass, wantHit := range []bool{false, true} {
+				h0, m0 := MemoStats()
+				got := memoVerify(c.pub, c.msg, c.sig)
+				h1, m1 := MemoStats()
+				if got != want {
+					t.Fatalf("trial %d %s pass %d: memoVerify=%v stdlib=%v", trial, c.name, pass, got, want)
+				}
+				if hit := h1 == h0+1 && m1 == m0; hit != wantHit || h1-h0+m1-m0 != 1 {
+					t.Fatalf("trial %d %s pass %d: memo hits %d->%d misses %d->%d, want hit=%v",
+						trial, c.name, pass, h0, h1, m0, m1, wantHit)
+				}
+			}
+		}
+	}
+
+	// A truncated signature inside a receipt is rejected, without a
+	// panic, on every pass, exactly as the stdlib rejects it.
+	_, card := testCard(t)
+	r := wire.StoreReceipt{FileID: id.RandFile(2), StoredBy: wire.NodeRef{ID: card.NodeID()}, Size: 64}
+	card.SignStoreReceipt(&r)
+	r.Sig = r.Sig[:32]
+	if ed25519.Verify(r.NodePub, storeReceiptBody(&r), r.Sig) {
+		t.Fatal("stdlib accepted a truncated signature")
+	}
+	for pass := 0; pass < 2; pass++ {
+		if err := VerifyStoreReceipt(&r); !errors.Is(err, ErrBadSignature) {
+			t.Fatalf("truncated receipt signature, pass %d: want ErrBadSignature, got %v", pass, err)
+		}
+		if memoVerify(r.NodePub, storeReceiptBody(&r), r.Sig) {
+			t.Fatalf("truncated signature accepted on pass %d", pass)
+		}
 	}
 }

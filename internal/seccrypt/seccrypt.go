@@ -342,6 +342,13 @@ func VerifyStoreReceipt(r *wire.StoreReceipt) error {
 	if err := VerifyStoreReceiptBinding(r); err != nil {
 		return err
 	}
+	return VerifyStoreReceiptSig(r)
+}
+
+// VerifyStoreReceiptSig performs the cryptographic half of
+// VerifyStoreReceipt: the receipt's signature is valid under the key it
+// carries. It says nothing about whose key that is.
+func VerifyStoreReceiptSig(r *wire.StoreReceipt) error {
 	if !verifyBody(ed25519.PublicKey(r.NodePub), r.Sig, func(buf []byte) []byte {
 		return appendStoreReceiptBody(buf, r)
 	}) {
@@ -352,9 +359,7 @@ func VerifyStoreReceipt(r *wire.StoreReceipt) error {
 
 // VerifyStoreReceiptBinding performs the non-cryptographic half of
 // VerifyStoreReceipt: the signing key has canonical size and its hash
-// matches the node that claims to have stored. Callers deferring the
-// signature check into a batch (Deferred.DeferStoreReceipt) run this
-// part eagerly.
+// matches the node that claims to have stored.
 func VerifyStoreReceiptBinding(r *wire.StoreReceipt) error {
 	if len(r.NodePub) != ed25519.PublicKeySize {
 		return ErrBadSignature
@@ -419,6 +424,13 @@ func VerifyFileCertificate(brokerPub ed25519.PublicKey, cert *wire.FileCertifica
 	if err := VerifyCardCert(brokerPub, cert.OwnerPub, cert.CardCert, nowUnix); err != nil {
 		return err
 	}
+	return VerifyFileCertificateSig(cert)
+}
+
+// VerifyFileCertificateSig checks only the owner's signature over the
+// certificate body. A client runs it on its own certificate, whose card
+// it already trusts.
+func VerifyFileCertificateSig(cert *wire.FileCertificate) error {
 	if !verifyBody(ed25519.PublicKey(cert.OwnerPub), cert.Sig, func(buf []byte) []byte {
 		return appendFileCertBody(buf, cert)
 	}) {

@@ -65,6 +65,16 @@ type TCPStats struct {
 	// BreakerOpens counts open transitions (including re-opens after a
 	// failed half-open probe).
 	BreakerOpens int64
+	// QueueFull counts sends dropped because the peer's queue was full.
+	QueueFull int64
+	// Oversized counts frames refused locally for exceeding MaxFrame.
+	Oversized int64
+	// WriteFailures counts failed frame writes; each one drops the
+	// connection and the frames still queued on it.
+	WriteFailures int64
+	// DecodeFailures counts inbound frames whose payload did not decode;
+	// each one drops the inbound connection.
+	DecodeFailures int64
 }
 
 // TCP is a transport.Transport over real TCP connections. One listener
@@ -96,7 +106,9 @@ type TCP struct {
 	proxMu sync.Mutex
 	prox   map[string]float64
 
-	dials, dialFailures, suppressed atomic.Int64
+	dials, dialFailures, suppressed     atomic.Int64
+	queueFull, oversized, writeFailures atomic.Int64
+	decodeFailures                      atomic.Int64
 
 	wg sync.WaitGroup
 }
@@ -169,10 +181,14 @@ func (t *TCP) Reachable(addr string) bool {
 // concurrency but each counter is individually exact.
 func (t *TCP) Stats() TCPStats {
 	return TCPStats{
-		Dials:        t.dials.Load(),
-		DialFailures: t.dialFailures.Load(),
-		Suppressed:   t.suppressed.Load(),
-		BreakerOpens: t.breaker.Opens(),
+		Dials:          t.dials.Load(),
+		DialFailures:   t.dialFailures.Load(),
+		Suppressed:     t.suppressed.Load(),
+		BreakerOpens:   t.breaker.Opens(),
+		QueueFull:      t.queueFull.Load(),
+		Oversized:      t.oversized.Load(),
+		WriteFailures:  t.writeFailures.Load(),
+		DecodeFailures: t.decodeFailures.Load(),
 	}
 }
 
@@ -196,17 +212,20 @@ func (t *TCP) acceptLoop() {
 	}
 }
 
+// errFrameTooLarge marks a frame refused locally by writeFrame.
+var errFrameTooLarge = errors.New("transport: frame exceeds MaxFrame")
+
 // writeFrame encodes f into buf and writes it length-prefixed. A frame
-// that encodes beyond maxFrame is refused locally — better to drop one
-// message than to ship something every receiver will kill the connection
-// over.
+// that encodes beyond maxFrame is refused locally, before any byte is
+// written — better to drop one message than to ship something every
+// receiver will kill the connection over.
 func writeFrame(w io.Writer, buf *bytes.Buffer, f *frame, maxFrame int) error {
 	buf.Reset()
 	if err := gob.NewEncoder(buf).Encode(f); err != nil {
 		return err
 	}
 	if buf.Len() > maxFrame {
-		return fmt.Errorf("transport: frame of %d bytes exceeds limit %d", buf.Len(), maxFrame)
+		return fmt.Errorf("%w: %d bytes, limit %d", errFrameTooLarge, buf.Len(), maxFrame)
 	}
 	var hdr [4]byte
 	binary.BigEndian.PutUint32(hdr[:], uint32(buf.Len()))
@@ -215,21 +234,6 @@ func writeFrame(w io.Writer, buf *bytes.Buffer, f *frame, maxFrame int) error {
 	}
 	_, err := w.Write(buf.Bytes())
 	return err
-}
-
-// readFrame reads one length-prefixed frame. It errors on a zero or
-// oversized announced length (before allocating), on truncation (peer
-// closed mid-frame), and on undecodable payload.
-func readFrame(r io.Reader, maxFrame int) (frame, error) {
-	payload, err := ReadRawFrame(r, maxFrame)
-	if err != nil {
-		return frame{}, err
-	}
-	var f frame
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&f); err != nil {
-		return frame{}, err
-	}
-	return f, nil
 }
 
 // ReadRawFrame reads one length-prefixed frame and returns its payload
@@ -358,9 +362,14 @@ func (t *TCP) readLoop(conn net.Conn) {
 		t.mu.Unlock()
 	}()
 	for {
-		f, err := readFrame(conn, t.maxFrame)
+		payload, err := ReadRawFrame(conn, t.maxFrame)
 		if err != nil {
-			return // EOF, truncated frame, oversized frame, or garbage: drop the connection
+			return // EOF, truncated frame or bad announced size: drop the connection
+		}
+		var f frame
+		if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&f); err != nil {
+			t.decodeFailures.Add(1)
+			return // garbage: drop the connection
 		}
 		t.handlerM.RLock()
 		h := t.handler
@@ -400,7 +409,7 @@ func (t *TCP) Send(to string, m wire.Msg) error {
 	case <-p.done:
 		// Transport shut down while enqueueing.
 	default:
-		// Queue full: drop.
+		t.queueFull.Add(1) // queue full: drop
 	}
 	return nil
 }
@@ -437,9 +446,17 @@ func (t *TCP) writeLoop(to string, p *tcpPeer, conn net.Conn) {
 		case <-p.done:
 			return
 		case f := <-p.out:
-			if err := writeFrame(conn, &buf, &f, t.maxFrame); err != nil {
-				// Connection broke (or the frame was locally oversized):
-				// forget the peer so the next Send redials fresh.
+			err := writeFrame(conn, &buf, &f, t.maxFrame)
+			if errors.Is(err, errFrameTooLarge) {
+				// Nothing reached the wire and each frame is its own
+				// gob stream: drop this frame, keep the connection.
+				t.oversized.Add(1)
+				continue
+			}
+			if err != nil {
+				// Connection broke: forget the peer so the next Send
+				// redials fresh.
+				t.writeFailures.Add(1)
 				t.forget(to, p)
 				return
 			}
